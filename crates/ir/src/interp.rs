@@ -26,7 +26,7 @@ use crate::graph::Jaxpr;
 use crate::kernels;
 use crate::prim::Prim;
 use crate::shape::Shape;
-use crate::tensor::{gelu, gelu_grad, Tensor};
+use crate::tensor::{gelu, gelu_grad, tanh, Tensor};
 
 /// Buffer-allocator counters for one [`eval_with_stats`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -95,7 +95,7 @@ pub fn eval_prim(prim: &Prim, inputs: &[&Tensor]) -> Result<Tensor> {
         Prim::Permute { perm } => inputs[0].permute(perm),
         Prim::Relu => Ok(inputs[0].map(|x| x.max(0.0))),
         Prim::Gelu => Ok(inputs[0].map(gelu)),
-        Prim::Tanh => Ok(inputs[0].map(f32::tanh)),
+        Prim::Tanh => Ok(inputs[0].map(tanh)),
         Prim::Exp => Ok(inputs[0].map(f32::exp)),
         Prim::Log => Ok(inputs[0].map(f32::ln)),
         Prim::Sqrt => Ok(inputs[0].map(f32::sqrt)),
@@ -170,7 +170,7 @@ fn eval_prim_owned(prim: &Prim, mut inputs: Vec<Tensor>, stats: &mut EvalStats) 
         }
         Prim::Relu => unary!(|x: f32| x.max(0.0)),
         Prim::Gelu => unary!(gelu),
-        Prim::Tanh => unary!(f32::tanh),
+        Prim::Tanh => unary!(tanh),
         Prim::Exp => unary!(f32::exp),
         Prim::Log => unary!(f32::ln),
         Prim::Sqrt => unary!(f32::sqrt),
@@ -337,10 +337,11 @@ fn stream_matmul(
     match plan {
         StreamPlan::Direct { out_idx } => {
             obs.begin(*out_idx, &out_shape);
-            let data = kernels::matmul_streamed(a.data(), b.data(), m, k, n, &mut |row0, panel| {
-                obs.publish(*out_idx, row0, n, panel);
-            });
-            Tensor::from_vec(out_shape, data)
+            Ok(Tensor::from_fill(out_shape, |out| {
+                kernels::matmul_streamed(a.data(), b.data(), m, k, n, out, &mut |row0, panel| {
+                    obs.publish(*out_idx, row0, n, panel);
+                })
+            }))
         }
         StreamPlan::FusedPad {
             out_idx,
@@ -356,21 +357,23 @@ fn stream_matmul(
             let pad_shape = Shape::new([m, *full]);
             obs.begin(*out_idx, &pad_shape);
             let mut padded = vec![*value; m * *full];
-            let data = kernels::matmul_streamed(a.data(), b.data(), m, k, n, &mut |row0, panel| {
-                let rows = panel.len().checked_div(n).unwrap_or(0);
-                for r in 0..rows {
-                    let dst = (row0 + r) * *full + *start;
-                    padded[dst..dst + n].copy_from_slice(&panel[r * n..(r + 1) * n]);
-                }
-                obs.publish(
-                    *out_idx,
-                    row0,
-                    *full,
-                    &padded[row0 * *full..(row0 + rows) * *full],
-                );
+            let product = Tensor::from_fill(out_shape, |out| {
+                kernels::matmul_streamed(a.data(), b.data(), m, k, n, out, &mut |row0, panel| {
+                    let rows = panel.len().checked_div(n).unwrap_or(0);
+                    for r in 0..rows {
+                        let dst = (row0 + r) * *full + *start;
+                        padded[dst..dst + n].copy_from_slice(&panel[r * n..(r + 1) * n]);
+                    }
+                    obs.publish(
+                        *out_idx,
+                        row0,
+                        *full,
+                        &padded[row0 * *full..(row0 + rows) * *full],
+                    );
+                })
             });
             prepared.insert(*pad_eqn, Tensor::from_vec(pad_shape, padded)?);
-            Tensor::from_vec(out_shape, data)
+            Ok(product)
         }
     }
 }

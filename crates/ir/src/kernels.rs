@@ -15,11 +15,15 @@
 //!    count, defaulting to the machine's available parallelism.
 //!
 //! The blocking strategy is register-level (GEBP): the matmul
-//! micro-kernel accumulates an MR×NR output tile over the whole
-//! contraction axis in registers, eliminating the naive `ikj` loop's
-//! per-step output-row traffic and amortizing each `rhs` panel load
-//! across MR·NR multiply-accumulates, with branch-free constant-bound
-//! inner loops that auto-vectorize.
+//! micro-kernel accumulates an [`MR`]×`NR` = 6×64 output tile over the
+//! whole contraction axis in registers, eliminating the naive `ikj`
+//! loop's per-step output-row traffic and amortizing each `rhs` panel
+//! load across MR·NR multiply-accumulates. On AVX-512 the tile is 24 zmm
+//! accumulators plus 4 `rhs` vectors, one broadcast and one product
+//! temporary — 30 of the 32 registers, checked by a `const` assert, so
+//! nothing spills. The tile is const-generic in its height and masks its
+//! columns, so ragged edges run the same vector code as full tiles; a
+//! portable tile with the same bits serves hosts without AVX-512.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -29,72 +33,175 @@ const UNSET: usize = 0;
 static THREADS: AtomicUsize = AtomicUsize::new(UNSET);
 
 /// Minimum multiply-accumulate count before threads are worth spawning.
-const PAR_MIN_MACS: usize = 1 << 20;
+pub const PAR_MIN_MACS: usize = 1 << 20;
 
 /// Minimum element count before a parallel transpose is worth it.
 const PAR_MIN_ELEMS: usize = 1 << 18;
 
 /// Output rows per micro-kernel tile (register blocking factor).
-const MR: usize = 8;
+pub const MR: usize = 6;
 
-/// Output columns per micro-kernel tile. 32 f32 = two 512-bit (or four
-/// 256-bit) vectors; the MR×NR accumulator block maps onto the vector
-/// register file.
+/// Output columns per micro-kernel tile: 64 f32 = four 512-bit vectors,
+/// so an MR×NR accumulator block is MR·4 zmm registers.
 const NR: usize = 64;
 
 /// Hand-vectorized AVX-512 micro-kernel, selected at runtime when the
 /// host supports it. Uses separate `vmulps`/`vaddps` (never FMA), so
 /// every output element sees the exact mul-then-add sequence of the
-/// scalar tile — bit-identical results on every code path.
+/// portable tile — bit-identical results on every code path.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use super::{MR, NR};
     use core::arch::x86_64::*;
+
+    /// zmm vectors per tile row.
+    const COLS: usize = NR / 16;
+
+    const _: () = assert!(NR.is_multiple_of(16), "NR must be whole zmm vectors");
+    // Register budget: MR·COLS accumulators, one `b` row (COLS vectors),
+    // one broadcast of `a` and one product temporary must fit the 32 zmm
+    // registers, or the tile spills to the stack on every `p` step.
+    const _: () = assert!(
+        MR * COLS + COLS + 2 <= 32,
+        "MR×NR tile exceeds the zmm register file"
+    );
 
     /// Whether the host can run [`tile`].
     pub fn available() -> bool {
         std::arch::is_x86_feature_detected!("avx512f")
     }
 
-    /// Accumulates one full MR×NR output tile over `p = 0..k` in zmm
-    /// registers and stores it to `out` (row stride `ldo`).
+    /// Accumulates an `R × nr` output tile (`nr ≤ NR`) over `p = 0..k`
+    /// in zmm registers and stores it to `out` (row stride `ldo`).
+    /// Columns past `nr` are masked off on every load and store, so an
+    /// edge tile runs the same instruction sequence as a full one.
     ///
     /// # Safety
     ///
-    /// Requires AVX-512F, `a` valid for `MR` rows of stride `lda` and
-    /// length `k`, `b` valid for `k` rows of stride `ldb` and width
-    /// `NR`, and `out` valid for `MR` rows of stride `ldo` and width
-    /// `NR`.
+    /// Requires AVX-512F, `a` valid for `R` rows of stride and length
+    /// `k`, `b` valid for the `k·nr` floats of a packed panel (row `p`
+    /// at `p·nr`), and `out` valid for `R` rows of stride `ldo` and
+    /// width `nr`.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn tile(
+    pub unsafe fn tile<const R: usize>(
         a: *const f32,
-        lda: usize,
         b: *const f32,
-        ldb: usize,
+        nr: usize,
         k: usize,
         out: *mut f32,
         ldo: usize,
     ) {
-        const COLS: usize = NR / 16;
-        const { assert!(NR.is_multiple_of(16), "NR must be whole zmm vectors") };
-        let mut acc = [[_mm512_setzero_ps(); COLS]; MR];
+        let mut mask: [__mmask16; COLS] = [0; COLS];
+        for (c, m) in mask.iter_mut().enumerate() {
+            let live = nr.saturating_sub(16 * c).min(16);
+            *m = ((1u32 << live) - 1) as __mmask16;
+        }
+        let mut acc = [[_mm512_setzero_ps(); COLS]; R];
         for p in 0..k {
+            let brow = b.add(p * nr);
             let mut bv = [_mm512_setzero_ps(); COLS];
             for (c, slot) in bv.iter_mut().enumerate() {
-                *slot = _mm512_loadu_ps(b.add(p * ldb + 16 * c));
+                // Fully masked vectors read nothing, so the address may
+                // point past the panel.
+                *slot = _mm512_maskz_loadu_ps(mask[c], brow.wrapping_add(16 * c));
             }
             for (r, row) in acc.iter_mut().enumerate() {
-                let av = _mm512_set1_ps(*a.add(r * lda + p));
-                for (c, slot) in row.iter_mut().enumerate() {
-                    *slot = _mm512_add_ps(*slot, _mm512_mul_ps(av, bv[c]));
+                let av = _mm512_set1_ps(*a.add(r * k + p));
+                for (slot, &bc) in row.iter_mut().zip(&bv) {
+                    *slot = _mm512_add_ps(*slot, _mm512_mul_ps(av, bc));
                 }
             }
         }
         for (r, row) in acc.iter().enumerate() {
             for (c, &v) in row.iter().enumerate() {
-                _mm512_storeu_ps(out.add(r * ldo + 16 * c), v);
+                _mm512_mask_storeu_ps(out.add(r * ldo).wrapping_add(16 * c), mask[c], v);
             }
         }
+    }
+}
+
+/// Whether [`run_tile`] may take the AVX-512 path on this host.
+#[cfg(target_arch = "x86_64")]
+fn wide_available() -> bool {
+    avx512::available()
+}
+
+/// Whether [`run_tile`] may take the AVX-512 path on this host.
+#[cfg(not(target_arch = "x86_64"))]
+fn wide_available() -> bool {
+    false
+}
+
+/// Portable tile with the contract and the bits of `avx512::tile`: an
+/// `R`-row accumulator block updated `p`-ascending with separate
+/// multiply and add, auto-vectorized over the columns.
+fn tile_portable<const R: usize>(a: &[f32], panel: &[f32], nr: usize, out: &mut [f32], ldo: usize) {
+    let k = panel.len() / nr;
+    let mut acc = [[0.0f32; NR]; R];
+    for (p, brow) in panel.chunks_exact(nr).enumerate() {
+        for (r, row) in acc.iter_mut().enumerate() {
+            let av = a[r * k + p];
+            for (slot, &bv) in row.iter_mut().zip(brow) {
+                *slot += av * bv;
+            }
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        out[r * ldo..r * ldo + nr].copy_from_slice(&row[..nr]);
+    }
+}
+
+/// One `R × nr` output tile: `out[r][j] = Σ_p a[r][p] · panel[p][j]`
+/// for `a` rows of stride and length `k`, a packed `[k][nr]` `panel`
+/// and `out` rows of stride `ldo`. `wide` selects the AVX-512 tile
+/// (only pass `true` when [`wide_available`]); both paths reduce
+/// `p`-ascending and produce the same bits.
+fn tile<const R: usize>(
+    wide: bool,
+    a: &[f32],
+    panel: &[f32],
+    nr: usize,
+    out: &mut [f32],
+    ldo: usize,
+) {
+    const { assert!(R >= 1 && R <= MR) };
+    assert!((1..=NR).contains(&nr) && panel.len().is_multiple_of(nr));
+    let k = panel.len() / nr;
+    assert!(a.len() >= R * k && out.len() >= (R - 1) * ldo + nr);
+    if wide {
+        #[cfg(target_arch = "x86_64")]
+        {
+            // SAFETY: the asserts above bound every row read and
+            // written, and `wide` implies AVX-512F.
+            unsafe {
+                avx512::tile::<R>(a.as_ptr(), panel.as_ptr(), nr, k, out.as_mut_ptr(), ldo);
+            }
+            return;
+        }
+    }
+    tile_portable::<R>(a, panel, nr, out, ldo);
+}
+
+/// [`tile`] at a runtime height `mr` (`1 ≤ mr ≤ MR`), so a ragged
+/// bottom edge runs a const-height instance of the same tile.
+fn run_tile(
+    wide: bool,
+    mr: usize,
+    a: &[f32],
+    panel: &[f32],
+    nr: usize,
+    out: &mut [f32],
+    ldo: usize,
+) {
+    const { assert!(MR == 6, "one match arm per tile height") };
+    match mr {
+        1 => tile::<1>(wide, a, panel, nr, out, ldo),
+        2 => tile::<2>(wide, a, panel, nr, out, ldo),
+        3 => tile::<3>(wide, a, panel, nr, out, ldo),
+        4 => tile::<4>(wide, a, panel, nr, out, ldo),
+        5 => tile::<5>(wide, a, panel, nr, out, ldo),
+        6 => tile::<6>(wide, a, panel, nr, out, ldo),
+        _ => unreachable!("tile height {mr} outside 1..={MR}"),
     }
 }
 
@@ -186,96 +293,39 @@ fn pack_b(b: &[f32], k: usize, n: usize) -> Vec<f32> {
 /// GEBP-style micro-kernel: each MR×NR output tile accumulates over the
 /// whole contraction axis in registers, so `out` is touched once per
 /// tile and each packed `b` panel load feeds MR·NR multiply-accumulates.
-/// The hot tile is hand-vectorized AVX-512 where available and a
-/// constant-bound auto-vectorized loop elsewhere; edge tiles run the
-/// same loops with runtime bounds. Reduction order per output element
-/// is `p` ascending — bit-compatible with the naive kernel (zero `a`
-/// entries contribute `±0.0`, which `f32::eq` treats as equal to
+/// Ragged bottom and right edges run the same tile at a smaller
+/// const height and with masked columns. Reduction order per output
+/// element is `p` ascending — bit-compatible with the naive kernel (zero
+/// `a` entries contribute `±0.0`, which `f32::eq` treats as equal to
 /// skipping them).
 fn matmul_rows(a: &[f32], bp: &[f32], out: &mut [f32], row0: usize, k: usize, n: usize) {
     if n == 0 {
         return;
     }
-    #[cfg(target_arch = "x86_64")]
-    let wide = avx512::available();
+    let wide = wide_available();
     let rows = out.len() / n;
-    let mut r0 = 0;
-    while r0 < rows {
+    for r0 in (0..rows).step_by(MR) {
         let mr = (rows - r0).min(MR);
-        let mut j0 = 0;
-        while j0 < n {
+        let arows = &a[(row0 + r0) * k..];
+        for j0 in (0..n).step_by(NR) {
             let nr = (n - j0).min(NR);
-            let panel = &bp[j0 * k..j0 * k + nr * k];
-            if mr == MR && nr == NR {
-                #[cfg(target_arch = "x86_64")]
-                if wide {
-                    // Bounds: `panel` holds k rows of NR floats and
-                    // `out` holds `rows ≥ r0+MR` rows of width n with
-                    // columns j0..j0+NR in range.
-                    unsafe {
-                        avx512::tile(
-                            a.as_ptr().add((row0 + r0) * k),
-                            k,
-                            panel.as_ptr(),
-                            NR,
-                            k,
-                            out.as_mut_ptr().add(r0 * n + j0),
-                            n,
-                        );
-                    }
-                    j0 += nr;
-                    continue;
-                }
-                // Hot path: constant bounds, accumulators in registers.
-                let ar: [&[f32]; MR] =
-                    core::array::from_fn(|r| &a[(row0 + r0 + r) * k..(row0 + r0 + r + 1) * k]);
-                let mut acc = [[0.0f32; NR]; MR];
-                for p in 0..k {
-                    let brow = &panel[p * NR..(p + 1) * NR];
-                    for r in 0..MR {
-                        let av = ar[r][p];
-                        for j in 0..NR {
-                            acc[r][j] += av * brow[j];
-                        }
-                    }
-                }
-                for (r, row) in acc.iter().enumerate() {
-                    let o = (r0 + r) * n + j0;
-                    out[o..o + NR].copy_from_slice(row);
-                }
-            } else {
-                let mut acc = [[0.0f32; NR]; MR];
-                for p in 0..k {
-                    let brow = &panel[p * nr..(p + 1) * nr];
-                    for r in 0..mr {
-                        let av = a[(row0 + r0 + r) * k + p];
-                        for (j, &bv) in brow.iter().enumerate() {
-                            acc[r][j] += av * bv;
-                        }
-                    }
-                }
-                for (r, row) in acc.iter().take(mr).enumerate() {
-                    let o = (r0 + r) * n + j0;
-                    out[o..o + nr].copy_from_slice(&row[..nr]);
-                }
-            }
-            j0 += nr;
+            let panel = &bp[j0 * k..(j0 + nr) * k];
+            run_tile(wide, mr, arows, panel, nr, &mut out[r0 * n + j0..], n);
         }
-        r0 += mr;
     }
 }
 
-/// Blocked, parallel 2-D matmul: `[m,k] @ [k,n]` into a fresh buffer.
-pub(crate) fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; m * n];
+/// Blocked, parallel 2-D matmul: `[m,k] @ [k,n]` into the zero-filled
+/// `out` (`m·n` floats).
+pub(crate) fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
     if n == 0 || k == 0 || m == 0 {
-        return out;
+        return;
     }
     let bp = pack_b(b, k, n);
     let nt = plan_threads(m * k * n, m);
     if nt <= 1 {
-        matmul_rows(a, &bp, &mut out, 0, k, n);
-        return out;
+        matmul_rows(a, &bp, out, 0, k, n);
+        return;
     }
     let rows_per = m.div_ceil(nt);
     let bp = &bp;
@@ -284,7 +334,6 @@ pub(crate) fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<
             s.spawn(move || matmul_rows(a, bp, chunk, ci * rows_per, k, n));
         }
     });
-    out
 }
 
 /// Output rows per streamed panel in [`matmul_streamed`]: large enough
@@ -292,9 +341,10 @@ pub(crate) fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<
 /// panel is ready early in the multiply.
 pub const STREAM_PANEL_ROWS: usize = 64;
 
-/// Blocked 2-D matmul `[m,k] @ [k,n]` that hands each completed panel of
-/// [`STREAM_PANEL_ROWS`] output rows to `sink(row0, panel)` as soon as
-/// its last element is written, then returns the full result buffer.
+/// Blocked 2-D matmul `[m,k] @ [k,n]` into the zero-filled `out` (`m·n`
+/// floats) that hands each completed panel of [`STREAM_PANEL_ROWS`]
+/// output rows to `sink(row0, panel)` as soon as its last element is
+/// written.
 ///
 /// This is the compute half of tensor-parallel compute/communication
 /// overlap: a shard lane can publish finished rows to the collective
@@ -310,16 +360,16 @@ pub fn matmul_streamed(
     m: usize,
     k: usize,
     n: usize,
+    out: &mut [f32],
     sink: &mut dyn FnMut(usize, &[f32]),
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; m * n];
+) {
     if n == 0 || m == 0 {
-        return out;
+        return;
     }
     if k == 0 {
         // Degenerate contraction: the zero buffer is already final.
-        sink(0, &out);
-        return out;
+        sink(0, out);
+        return;
     }
     let bp = pack_b(b, k, n);
     let mut r0 = 0;
@@ -330,7 +380,6 @@ pub fn matmul_streamed(
         sink(r0, chunk);
         r0 += rows;
     }
-    out
 }
 
 /// One batch slice's rows for the batched matmul (`bp` holds each
@@ -357,7 +406,8 @@ fn batch_rows(a: &[f32], bp: &[f32], out: &mut [f32], grow0: usize, m: usize, k:
     }
 }
 
-/// Blocked, parallel batched matmul: `[batch,m,k] @ [batch,k,n]`.
+/// Blocked, parallel batched matmul: `[batch,m,k] @ [batch,k,n]` into
+/// the zero-filled `out` (`batch·m·n` floats).
 pub(crate) fn batch_matmul(
     a: &[f32],
     b: &[f32],
@@ -365,10 +415,10 @@ pub(crate) fn batch_matmul(
     m: usize,
     k: usize,
     n: usize,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; batch * m * n];
+    out: &mut [f32],
+) {
     if n == 0 || k == 0 || m == 0 {
-        return out;
+        return;
     }
     let mut packed = vec![0.0f32; batch * k * n];
     for bi in 0..batch {
@@ -381,8 +431,8 @@ pub(crate) fn batch_matmul(
     let total_rows = batch * m;
     let nt = plan_threads(batch * m * k * n, total_rows);
     if nt <= 1 {
-        batch_rows(a, &packed, &mut out, 0, m, k, n);
-        return out;
+        batch_rows(a, &packed, out, 0, m, k, n);
+        return;
     }
     let rows_per = total_rows.div_ceil(nt);
     let bp = &packed;
@@ -391,7 +441,6 @@ pub(crate) fn batch_matmul(
             s.spawn(move || batch_rows(a, bp, chunk, ci * rows_per, m, k, n));
         }
     });
-    out
 }
 
 /// Cache-tile edge for the blocked transpose.
@@ -415,11 +464,10 @@ fn transpose_tile(src: &[f32], dst: &mut [f32], j0: usize, jrows: usize, m: usiz
 }
 
 /// Blocked, parallel batched transpose of the last two dims:
-/// `[batch…, m, n] → [batch…, n, m]`.
-pub(crate) fn transpose(src: &[f32], batch: usize, m: usize, n: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; batch * m * n];
+/// `[batch…, m, n] → [batch…, n, m]`, overwriting all of `out`.
+pub(crate) fn transpose(src: &[f32], batch: usize, m: usize, n: usize, out: &mut [f32]) {
     if m == 0 || n == 0 {
-        return out;
+        return;
     }
     let nt = if batch * m * n < PAR_MIN_ELEMS {
         1
@@ -452,7 +500,7 @@ pub(crate) fn transpose(src: &[f32], batch: usize, m: usize, n: usize) -> Vec<f3
                 );
             }
         }
-        return out;
+        return;
     }
     // Single large matrix: parallelize over output row ranges.
     let jrows_per = n.div_ceil(nt);
@@ -462,7 +510,6 @@ pub(crate) fn transpose(src: &[f32], batch: usize, m: usize, n: usize) -> Vec<f3
             s.spawn(move || transpose_tile(src, chunk, j0, chunk.len() / m, m, n));
         }
     });
-    out
 }
 
 /// Naive reference matmul (the seed repo's kernel, kept verbatim for
@@ -531,6 +578,12 @@ mod tests {
         (0..n).map(|i| (i as f32) * 0.37 - 3.0).collect()
     }
 
+    fn blocked(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; m * n];
+        matmul(a, b, m, k, n, &mut out);
+        out
+    }
+
     #[test]
     fn blocked_matmul_matches_naive_odd_shapes() {
         for &(m, k, n) in &[
@@ -544,7 +597,7 @@ mod tests {
             let a = seq(m * k);
             let b = seq(k * n);
             assert_eq!(
-                matmul(&a, &b, m, k, n),
+                blocked(&a, &b, m, k, n),
                 matmul_naive(&a, &b, m, k, n),
                 "({m},{k},{n})"
             );
@@ -556,10 +609,11 @@ mod tests {
         for &(m, k, n) in &[(1, 1, 1), (5, 3, 7), (63, 16, 9), (64, 8, 8), (130, 17, 33)] {
             let a = seq(m * k);
             let b = seq(k * n);
-            let want = matmul(&a, &b, m, k, n);
+            let want = blocked(&a, &b, m, k, n);
             let mut published = vec![f32::NAN; m * n];
             let mut next_row = 0usize;
-            let got = matmul_streamed(&a, &b, m, k, n, &mut |row0, panel| {
+            let mut got = vec![0.0f32; m * n];
+            matmul_streamed(&a, &b, m, k, n, &mut got, &mut |row0, panel| {
                 assert_eq!(row0, next_row, "panels arrive in row order");
                 assert_eq!(panel.len() % n, 0);
                 published[row0 * n..row0 * n + panel.len()].copy_from_slice(panel);
@@ -590,15 +644,47 @@ mod tests {
         }
     }
 
+    /// The portable tile is what every non-AVX-512 host runs, so it is
+    /// checked here against the AVX-512 tile (bitwise) and the naive
+    /// kernel on full tiles and on every ragged height and width.
+    #[test]
+    fn portable_tile_matches_avx512_tile_bitwise() {
+        let ldo = NR + 3;
+        for mr in 1..=MR {
+            for nr in [1, 5, 15, 16, 17, 31, 48, 49, NR - 1, NR] {
+                for k in [1, 7, 40] {
+                    let mut a = seq(mr * k);
+                    a[k / 2] = 0.0; // the naive kernel skips zeros
+                    let b = seq(k * nr);
+                    let want = matmul_naive(&a, &b, mr, k, nr);
+                    // `b` is already one packed panel: [k][nr].
+                    let run = |wide| {
+                        let mut out = vec![f32::NAN; mr * ldo];
+                        run_tile(wide, mr, &a, &b, nr, &mut out, ldo);
+                        out
+                    };
+                    let portable = run(false);
+                    for r in 0..mr {
+                        let row = &portable[r * ldo..(r + 1) * ldo];
+                        assert_eq!(row[..nr], want[r * nr..(r + 1) * nr], "({mr},{k},{nr})");
+                        assert!(row[nr..].iter().all(|x| x.is_nan()), "wrote past nr");
+                    }
+                    if wide_available() {
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&run(true)), bits(&portable), "({mr},{k},{nr})");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn transpose_tiles_match_naive() {
         for &(batch, m, n) in &[(1, 1, 1), (1, 33, 65), (3, 5, 7), (2, 32, 32), (1, 100, 3)] {
             let src = seq(batch * m * n);
-            assert_eq!(
-                transpose(&src, batch, m, n),
-                transpose_naive(&src, batch, m, n),
-                "({batch},{m},{n})"
-            );
+            let mut out = vec![f32::NAN; batch * m * n];
+            transpose(&src, batch, m, n, &mut out);
+            assert_eq!(out, transpose_naive(&src, batch, m, n), "({batch},{m},{n})");
         }
     }
 
@@ -607,8 +693,10 @@ mod tests {
         for &(batch, m, k, n) in &[(1, 3, 4, 5), (4, 2, 3, 2), (2, 7, 5, 3), (0, 2, 2, 2)] {
             let a = seq(batch * m * k);
             let b = seq(batch * k * n);
+            let mut out = vec![0.0f32; batch * m * n];
+            batch_matmul(&a, &b, batch, m, k, n, &mut out);
             assert_eq!(
-                batch_matmul(&a, &b, batch, m, k, n),
+                out,
                 batch_matmul_naive(&a, &b, batch, m, k, n),
                 "({batch},{m},{k},{n})"
             );

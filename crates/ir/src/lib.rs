@@ -54,5 +54,5 @@ pub use kernels::{num_threads, set_num_threads};
 pub use optimize::{optimize, OptimizeStats};
 pub use prim::{Prim, YieldId};
 pub use shape::Shape;
-pub use tensor::{gelu, gelu_grad, Tensor};
+pub use tensor::{gelu, gelu_grad, tanh, Tensor};
 pub use trace::{TraceCtx, TracedTensor};

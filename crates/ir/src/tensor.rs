@@ -46,6 +46,17 @@ impl Tensor {
         }
     }
 
+    /// A tensor whose zero-filled buffer `fill` writes in place. The
+    /// buffer is allocated as the `Arc` storage itself, so a kernel's
+    /// output is never copied (turning a `Vec` into an `Arc<[f32]>`
+    /// copies it).
+    pub(crate) fn from_fill(shape: Shape, fill: impl FnOnce(&mut [f32])) -> Tensor {
+        // SAFETY: all-zero bits are the f32 value 0.0.
+        let mut data = unsafe { Arc::<[f32]>::new_zeroed_slice(shape.numel()).assume_init() };
+        fill(Arc::get_mut(&mut data).expect("a fresh buffer is unique"));
+        Tensor { shape, data }
+    }
+
     /// Builds a tensor from a shape and a flat row-major buffer.
     ///
     /// # Errors
@@ -255,8 +266,9 @@ impl Tensor {
         let out_shape = self.shape.matmul(&rhs.shape)?;
         let (m, k) = (self.shape.dim(0), self.shape.dim(1));
         let n = rhs.shape.dim(1);
-        let out = kernels::matmul(&self.data, &rhs.data, m, k, n);
-        Ok(Tensor::from_parts(out_shape, out))
+        Ok(Tensor::from_fill(out_shape, |out| {
+            kernels::matmul(&self.data, &rhs.data, m, k, n, out)
+        }))
     }
 
     /// 2-D matrix multiply using the seed repo's naive serial kernel.
@@ -291,8 +303,9 @@ impl Tensor {
         let out_shape = self.shape.transposed()?;
         let (m, n) = (self.shape.dim(r - 2), self.shape.dim(r - 1));
         let batch = self.numel().checked_div(m * n).unwrap_or(0);
-        let out = kernels::transpose(&self.data, batch, m, n);
-        Ok(Tensor::from_parts(out_shape, out))
+        Ok(Tensor::from_fill(out_shape, |out| {
+            kernels::transpose(&self.data, batch, m, n, out)
+        }))
     }
 
     /// Transpose using the seed repo's naive serial kernel.
@@ -328,8 +341,9 @@ impl Tensor {
         let (m, k) = (self.shape.dim(r - 2), self.shape.dim(r - 1));
         let n = rhs.shape.dim(r - 1);
         let batch = self.shape.dims()[..r - 2].iter().product();
-        let out = kernels::batch_matmul(&self.data, &rhs.data, batch, m, k, n);
-        Ok(Tensor::from_parts(out_shape, out))
+        Ok(Tensor::from_fill(out_shape, |out| {
+            kernels::batch_matmul(&self.data, &rhs.data, batch, m, k, n, out)
+        }))
     }
 
     /// Batched matmul using the seed repo's naive serial kernel.
@@ -678,18 +692,75 @@ impl fmt::Display for Tensor {
     }
 }
 
+/// Hyperbolic tangent — the one implementation behind `Prim::Tanh`,
+/// [`gelu`] and [`gelu_grad`] on every interpreter path.
+///
+/// Branch-free `f32` arithmetic with no libm call, so every substrate,
+/// thread count and host computes the same bits, and [`Tensor::map`]
+/// auto-vectorizes it. It is odd bitwise, monotone non-decreasing,
+/// bounded by 1, maps ±0 to ±0, NaN to NaN and ±∞ to ±1, and lies within
+/// 4 ulp of the correctly rounded tanh for every `f32`.
+///
+/// With `a = |x|`, `tanh a = 1 / (1 + 2/u)` where `u = 2^y − 1` and
+/// `y = 2a·log₂e`. Range reduction splits `y = n + f` (`n = ⌊y⌋`), a
+/// Taylor polynomial with positive coefficients gives `2^f − 1` on
+/// `[0, 1)`, and `u = (2^f − 1)·2^n + (2^n − 1)` scales it exactly. Every
+/// step is a rounded `+`, `×` or `÷` of non-negative quantities that are
+/// monotone in `a`, and rounding is monotone, so the result is monotone
+/// by construction. Below 2⁻¹² it returns `x` itself; that seam, like the
+/// ulp bound, is checked over every `f32` by the ignored exhaustive test
+/// in `crates/ir/tests/tanh.rs`.
+pub fn tanh(x: f32) -> f32 {
+    /// `e^(2a) = 2^(a · TWO_LOG2_E)`.
+    const TWO_LOG2_E: f32 = 2.0 * std::f32::consts::LOG2_E;
+    /// tanh rounds to 1 beyond ≈ 9.01; clamping here keeps `2^n` finite.
+    const SATURATE: f32 = 9.1;
+    /// Below 2⁻¹², `x³/3` is under half an ulp of `x`: tanh rounds to `x`.
+    const LINEAR: f32 = 1.0 / 4096.0;
+    /// `(2^f − 1)/f = Σ_k ln2^(k+1)/(k+1)! · f^k`, truncated after
+    /// `k = 8` (relative error below 2e-8 on `[0, 1)`).
+    const C: [f32; 9] = [
+        std::f32::consts::LN_2,
+        0.240_226_5,
+        0.055_504_11,
+        0.009_618_129,
+        0.001_333_355_8,
+        0.000_154_035_3,
+        1.525_273_4e-5,
+        1.321_548_7e-6,
+        1.017_808_6e-7,
+    ];
+    // `clamp` passes NaN through, which the rest propagates.
+    let a = x.abs().clamp(0.0, SATURATE);
+    let y = a * TWO_LOG2_E;
+    let n = y.floor();
+    let f = y - n; // exact
+    let mut p = C[8];
+    for &c in C[..8].iter().rev() {
+        p = p * f + c;
+    }
+    // 2^f − 1, at most 1 so that `u` never steps down where `n` steps up.
+    let w = (f * p).clamp(0.0, 1.0);
+    // 2^n from its exponent bits: n + 2²³ + 127 holds 127 + n in the low
+    // mantissa bits, and the shift moves them into the exponent field.
+    let two_n = f32::from_bits((n + 8_388_735.0).to_bits() << 23);
+    let u = w * two_n + (two_n - 1.0);
+    let t = if a < LINEAR { a } else { 1.0 / (1.0 + 2.0 / u) };
+    t.copysign(x)
+}
+
 /// GELU activation (tanh approximation), matching the transformer models in
 /// the paper's workloads.
 pub fn gelu(x: f32) -> f32 {
     const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
+    0.5 * x * (1.0 + tanh(C * (x + 0.044715 * x * x * x)))
 }
 
 /// Derivative of [`gelu`] with respect to its input.
 pub fn gelu_grad(x: f32) -> f32 {
     const C: f32 = 0.797_884_6;
     let inner = C * (x + 0.044715 * x * x * x);
-    let t = inner.tanh();
+    let t = tanh(inner);
     let sech2 = 1.0 - t * t;
     0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * 0.044715 * x * x)
 }

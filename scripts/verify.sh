@@ -11,6 +11,12 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> cargo test --release -p raxpp-ir (kernel parity and tanh on the shipped build)"
+# The bitwise kernel and tanh contracts must hold on optimized code:
+# the debug build above neither auto-vectorizes the tanh map nor
+# inlines the matmul tile the way the release build does.
+cargo test --release -q -p raxpp-ir
+
 echo "==> cargo test --doc (markdown guides compile as doctests)"
 cargo test --doc --workspace -q
 

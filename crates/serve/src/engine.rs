@@ -36,6 +36,8 @@ pub(crate) struct Engine {
     /// Most recent request latencies (µs), bounded by
     /// `cfg.latency_window` — the source of the p50/p99 gauges.
     window: VecDeque<u64>,
+    /// Reused copy of `window` that the percentile selection reorders.
+    scratch: Vec<u64>,
     consecutive_failures: u32,
 }
 
@@ -63,6 +65,7 @@ impl Engine {
             batch: Vec::new(),
             pad,
             window: VecDeque::new(),
+            scratch: Vec::new(),
             consecutive_failures: 0,
         }
     }
@@ -79,14 +82,22 @@ impl Engine {
                 }
             } else {
                 // A dispatch is forming: wait at most until the oldest
-                // request's admission deadline, then pad and launch.
+                // request's admission deadline. Once it has passed,
+                // keep admitting what is *already queued* (work-
+                // conserving: under a backlog every request is past its
+                // deadline, and launching each alone would pad the rest
+                // of the slots) and pad only when the mailbox is empty.
                 let deadline = self.batch[0].enqueued + self.cfg.max_wait;
                 let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    self.dispatch();
-                    continue;
-                }
-                match self.rx.recv_timeout(left) {
+                let next = if left.is_zero() {
+                    self.rx.try_recv().map_err(|e| match e {
+                        mpsc::TryRecvError::Empty => mpsc::RecvTimeoutError::Timeout,
+                        mpsc::TryRecvError::Disconnected => mpsc::RecvTimeoutError::Disconnected,
+                    })
+                } else {
+                    self.rx.recv_timeout(left)
+                };
+                match next {
                     Ok(m) => m,
                     Err(mpsc::RecvTimeoutError::Timeout) => {
                         self.dispatch();
@@ -210,10 +221,10 @@ impl Engine {
                     }
                     self.window.push_back(ns / 1_000);
                 }
-                let mut sorted: Vec<u64> = self.window.iter().copied().collect();
-                sorted.sort_unstable();
-                metrics.set_gauge("serve_p50_us", percentile(&sorted, 50.0));
-                metrics.set_gauge("serve_p99_us", percentile(&sorted, 99.0));
+                self.scratch.clear();
+                self.scratch.extend(&self.window);
+                metrics.set_gauge("serve_p50_us", select_percentile(&mut self.scratch, 50.0));
+                metrics.set_gauge("serve_p99_us", select_percentile(&mut self.scratch, 99.0));
             }
             Err(e) => {
                 self.consecutive_failures += 1;
@@ -293,19 +304,46 @@ impl Engine {
     }
 }
 
+/// 0-based index of the nearest-rank `p`-th percentile in a sample of
+/// `len > 0` values.
+fn nearest_rank(len: usize, p: f64) -> usize {
+    let rank = ((p / 100.0) * len as f64).ceil() as usize;
+    rank.clamp(1, len) - 1
+}
+
+/// Nearest-rank percentile of an unsorted sample (µs); 0 for an empty
+/// window. Selects in O(n) and reorders `sample`, which keeps its
+/// values, so it can be queried again for another `p`.
+fn select_percentile(sample: &mut [u64], p: f64) -> f64 {
+    if sample.is_empty() {
+        return 0.0;
+    }
+    let idx = nearest_rank(sample.len(), p);
+    *sample.select_nth_unstable(idx).1 as f64
+}
+
 /// Nearest-rank percentile of an ascending-sorted sample (µs); 0 for
-/// an empty window.
+/// an empty window. The oracle that [`select_percentile`] is checked
+/// against.
+#[cfg(test)]
 fn percentile(sorted: &[u64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1] as f64
+    sorted[nearest_rank(sorted.len(), p)] as f64
 }
 
 #[cfg(test)]
 mod tests {
-    use super::percentile;
+    use super::{percentile, select_percentile, Engine};
+    use crate::server::{Msg, Request};
+    use crate::ServeConfig;
+    use raxpp_core::{compile_forward_step, ForwardOptions, ForwardStep};
+    use raxpp_ir::{Tensor, TraceCtx};
+    use raxpp_sched::gpipe;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{mpsc, Arc, Mutex};
+    use std::time::{Duration, Instant};
 
     #[test]
     fn percentile_is_nearest_rank() {
@@ -315,5 +353,164 @@ mod tests {
         assert_eq!(percentile(&s, 100.0), 100.0);
         assert_eq!(percentile(&[7], 99.0), 7.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
+    }
+
+    #[test]
+    fn selected_percentiles_equal_the_sorted_nearest_rank() {
+        // SplitMix64: a seeded, dependency-free source of test windows.
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        assert_eq!(select_percentile(&mut [], 50.0), 0.0);
+        for len in [1, 2, 3, 7, 100, 1023, 1024] {
+            // Wide values, then a narrow range that forces duplicates.
+            for modulus in [u64::MAX, 8] {
+                let window: Vec<u64> = (0..len).map(|_| next() % modulus).collect();
+                let mut sorted = window.clone();
+                sorted.sort_unstable();
+                // One buffer queried for several ranks in turn, as
+                // `dispatch` does for p50 then p99.
+                let mut scratch = window;
+                for p in [50.0, 99.0, 0.0, 1.0, 100.0] {
+                    assert_eq!(
+                        select_percentile(&mut scratch, p),
+                        percentile(&sorted, p),
+                        "len {len}, modulus {modulus}, p{p}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// loss = 0.5 * Σ (tanh(x@w1) @ w2)², prediction served as aux output.
+    fn forward_step(n_slots: usize) -> ForwardStep {
+        let ctx = TraceCtx::new();
+        let w1 = ctx.input([4, 4]);
+        let w2 = ctx.input([4, 4]);
+        let x = ctx.input([2, 4]);
+        let h = ctx.pipeline_yield(&x.matmul(&w1).unwrap().tanh());
+        let y = h.matmul(&w2).unwrap();
+        let loss = y.mul(&y).unwrap().sum().scale(0.5);
+        let jaxpr = ctx.finish(&[loss, y]).unwrap();
+        let step = compile_forward_step(
+            &jaxpr,
+            2,
+            &gpipe(2, n_slots).unwrap(),
+            ForwardOptions::default(),
+        )
+        .unwrap();
+        step.load_params(&params(1.0)).unwrap();
+        step
+    }
+
+    fn params(scale: f32) -> Vec<Tensor> {
+        vec![
+            Tensor::from_vec([4, 4], (0..16).map(|i| scale * 0.05 * i as f32).collect()).unwrap(),
+            Tensor::from_vec(
+                [4, 4],
+                (0..16).map(|i| scale * 0.03 * (i % 5) as f32).collect(),
+            )
+            .unwrap(),
+        ]
+    }
+
+    fn request(i: usize) -> Tensor {
+        Tensor::from_vec([2, 4], (0..8).map(|j| 0.1 * (i * 8 + j) as f32).collect()).unwrap()
+    }
+
+    #[test]
+    fn a_backlog_past_its_deadline_fills_every_dispatch() {
+        const SLOTS: usize = 4;
+        let max_wait = Duration::from_millis(2);
+        // Every queued request is already past its admission deadline,
+        // as under a backlog the engine cannot keep up with.
+        let enqueued = Instant::now() - 10 * max_wait;
+        let (tx, rx) = mpsc::channel();
+        let submit = |i: usize| {
+            let (reply, ticket) = mpsc::channel();
+            tx.send(Msg::Request(Request {
+                id: i as u64,
+                inputs: vec![request(i)],
+                enqueued,
+                reply,
+            }))
+            .unwrap();
+            ticket
+        };
+        let mut tickets: Vec<_> = (0..SLOTS).map(submit).collect();
+        let (swap_reply, swapped) = mpsc::channel();
+        tx.send(Msg::Swap {
+            params: params(2.0),
+            reply: swap_reply,
+        })
+        .unwrap();
+        tickets.extend((SLOTS..2 * SLOTS).map(submit));
+        tx.send(Msg::Shutdown).unwrap();
+
+        let queue_depth = Arc::new(AtomicUsize::new(2 * SLOTS));
+        let step = Engine::new(
+            forward_step(SLOTS),
+            ServeConfig {
+                max_wait,
+                ..ServeConfig::default()
+            },
+            rx,
+            Arc::clone(&queue_depth),
+            Arc::new(Mutex::new(None)),
+        )
+        .run();
+        swapped.recv().unwrap().unwrap();
+        let metrics = step.metrics();
+        assert_eq!(
+            metrics.counter("serve_batches_total"),
+            2,
+            "one dispatch per group"
+        );
+        assert_eq!(
+            metrics.counter("serve_padded_slots_total"),
+            0,
+            "no slot padded"
+        );
+        assert_eq!(metrics.counter("serve_weight_swaps_total"), 1);
+        assert_eq!(queue_depth.load(Ordering::Relaxed), 0);
+
+        // The groups straddle the swap: the first is answered by the old
+        // generation, the second by the new one, bitwise.
+        let direct = forward_step(SLOTS);
+        let old = direct
+            .forward(&[(0..SLOTS).map(request).collect()])
+            .unwrap();
+        direct.load_params(&params(2.0)).unwrap();
+        let new = direct
+            .forward(&[(SLOTS..2 * SLOTS).map(request).collect()])
+            .unwrap();
+        let first_on_new = direct
+            .forward(&[(0..SLOTS).map(request).collect()])
+            .unwrap();
+        assert_ne!(
+            old[1][0].data(),
+            first_on_new[1][0].data(),
+            "weights actually changed"
+        );
+        for (i, ticket) in tickets.into_iter().enumerate() {
+            let got = ticket.recv().unwrap().unwrap();
+            let (want, slot) = if i < SLOTS {
+                (&old, i)
+            } else {
+                (&new, i - SLOTS)
+            };
+            for (o, tensor) in got.iter().enumerate() {
+                assert_eq!(
+                    tensor.data(),
+                    want[o][slot].data(),
+                    "output {o} of request {i} must match its generation bitwise"
+                );
+            }
+        }
     }
 }

@@ -11,10 +11,12 @@
 //!   always executes `schedule.n_mubatches()` pipeline slots; an
 //!   arriving request takes the next free slot of the dispatch being
 //!   formed ([`raxpp_sched::SlotPlan`]). The dispatch launches the
-//!   moment every slot is taken, or when the admission deadline
-//!   ([`ServeConfig::max_wait`]) of its oldest request fires — only
-//!   then are the remaining slots padded, and their outputs are
-//!   discarded.
+//!   moment every slot is taken, or once the admission deadline
+//!   ([`ServeConfig::max_wait`]) of its oldest request has passed
+//!   *and* the mailbox is empty: past the deadline the engine still
+//!   admits every request already queued, so under a backlog each
+//!   dispatch is full. Only an empty mailbox leaves slots to pad, and
+//!   padded outputs are discarded.
 //! * **Zero-downtime weight swaps.** [`Server::swap_weights`] /
 //!   [`Server::load_latest_checkpoint`] install a new parameter
 //!   generation strictly *between* dispatches: the engine is one
@@ -99,9 +101,10 @@ use std::time::Duration;
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Admission deadline: how long the oldest queued request may wait
-    /// for the dispatch to fill before the engine pads the remaining
-    /// slots and launches anyway. Lower bounds tail latency under
-    /// trickle load; higher improves slot utilization. Default 2 ms.
+    /// for the dispatch to fill before the engine admits whatever is
+    /// already queued, pads the remaining slots and launches anyway.
+    /// Lower bounds tail latency under trickle load; higher improves
+    /// slot utilization. Default 2 ms.
     pub max_wait: Duration,
     /// After this many *consecutive* failed dispatches with a known
     /// dead actor, fold that actor's stages onto survivors

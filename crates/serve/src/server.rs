@@ -106,8 +106,12 @@ impl Server {
     ///
     /// The request joins the dispatch currently being formed (or opens
     /// the next one when that dispatch is full) and is answered when
-    /// its dispatch completes: at the latest after
-    /// [`ServeConfig::max_wait`] plus one forward step.
+    /// its dispatch completes. With nothing queued ahead of it, that is
+    /// at the latest after [`ServeConfig::max_wait`] plus one forward
+    /// step. Under a backlog, requests are admitted in FIFO order and
+    /// each dispatch is filled from the queue, so a request waits for
+    /// the dispatches carrying the requests ahead of it — about
+    /// `queued ahead / n_slots` forward steps — plus its own.
     ///
     /// # Errors
     ///

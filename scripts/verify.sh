@@ -17,6 +17,11 @@ echo "==> cargo test --release -p raxpp-ir (kernel parity and tanh on the shippe
 # inlines the matmul tile the way the release build does.
 cargo test --release -q -p raxpp-ir
 
+echo "==> cargo test --release -p raxpp-serve (admission and batching on the shipped build)"
+# The work-conserving admission loop and the latency-percentile
+# selection must also hold at the timings of optimized code.
+cargo test --release -q -p raxpp-serve
+
 echo "==> cargo test --doc (markdown guides compile as doctests)"
 cargo test --doc --workspace -q
 
